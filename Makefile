@@ -84,13 +84,17 @@ soak-controlplane:
 smoke:
 	$(GO) test -count=1 -run TestDaemonObservabilityEndToEnd ./cmd/drmsd
 
-# Benchmarks plus the chained-checkpoint steady-state comparison, the
-# memory-tier restore-latency comparison, the localized-vs-full recovery
-# TTR comparison, and the in-flight-resize-vs-classic-reconfigure TTR
-# comparison, whose JSON artifacts (BENCH_6.json, BENCH_7.json,
-# BENCH_9.json, BENCH_10.json) CI archives for before/after tracking.
+# Benchmarks — the paper-table ones in the root package and the
+# per-layer primitives (range Equal, block cuts, CRC combine, tier
+# lookup, windowed checksum) — plus the chained-checkpoint steady-state
+# comparison, the memory-tier restore-latency comparison, the
+# localized-vs-full recovery TTR comparison, and the
+# in-flight-resize-vs-classic-reconfigure TTR comparison, whose JSON
+# artifacts (BENCH_6.json, BENCH_7.json, BENCH_9.json, BENCH_10.json) CI
+# archives for before/after tracking.
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
+	$(GO) test -run xxx -bench . -benchmem . ./internal/rangeset ./internal/dist \
+		./internal/ckpt ./internal/array
 	$(GO) run ./cmd/drmsbench -bench6 BENCH_6.json
 	$(GO) run ./cmd/drmsbench -bench7 BENCH_7.json
 	$(GO) run ./cmd/drmsbench -bench9 BENCH_9.json

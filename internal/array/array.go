@@ -233,8 +233,7 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	}
 
 	// Phase 3: unpack what every active owner sent for this task's mapped
-	// section of B. Received buffers feed the pool for the next
-	// operation's packing.
+	// section of B.
 	dstLocal := any(dst.local)
 	for i := range pl.recv {
 		px := &pl.recv[i]
@@ -243,7 +242,6 @@ func Assign[T Elem](dst, src *Array[T]) error {
 				dst.name, src.name, px.peer, len(recv[px.peer]), px.bytes)
 		}
 		unpackRuns(dstLocal, recv[px.peer], px.runs, es, 1)
-		putBuf(recv[px.peer])
 	}
 	return nil
 }
@@ -296,7 +294,6 @@ func assignReference[T Elem](dst, src *Array[T]) error {
 		if err := dst.UnpackSection(sec, rangeset.ColMajor, recv[q]); err != nil {
 			return err
 		}
-		putBuf(recv[q])
 	}
 	return nil
 }
@@ -376,10 +373,13 @@ func (a *Array[T]) Gather(root int, order rangeset.Order) ([]T, error) {
 	boxed := any(out)
 	for q := 0; q < c.Size(); q++ {
 		unpackRuns(boxed, parts[q], pl.scatter[q], es, 1)
-		putBuf(parts[q])
 	}
 	return out, nil
 }
+
+// checksumWindow is the number of global elements Checksum gathers per
+// step: task 0 holds one window of the array, never all of it.
+const checksumWindow = 1 << 16
 
 // Checksum returns a distribution-independent checksum: the sum of all
 // assigned elements accumulated in global column-major order at task 0
@@ -387,15 +387,89 @@ func (a *Array[T]) Gather(root int, order rangeset.Order) ([]T, error) {
 // space, two runs with different task counts or distributions of the same
 // values produce bitwise-identical checksums. Collective.
 func (a *Array[T]) Checksum() (float64, error) {
-	full, err := a.Gather(0, rangeset.ColMajor)
-	if err != nil {
-		return 0, err
+	return a.checksum(checksumWindow)
+}
+
+// checksum is Checksum gathered in windows of w consecutive global
+// positions. For each window every task packs the not yet sent part of
+// its gather-plan runs that falls inside it, and task 0 scatters the
+// parts into a zeroed window buffer and adds it up: the same elements,
+// in the same order, with the same float adds as summing the whole
+// gathered array, in O(w) memory — a barrier per window keeps tasks from
+// running ahead.
+func (a *Array[T]) checksum(w int) (float64, error) {
+	c := a.comm
+	es := ElemSize[T]()
+	pl := gatherPlanFor(a.d, c, 0, rangeset.ColMajor, es)
+	total := a.Global().Size()
+	local := any(a.local)
+	var (
+		mine runCursor
+		sum  float64
+		win  []T
+		from []runCursor // task 0: one cursor per sender
+	)
+	if c.Rank() == 0 {
+		win = make([]T, min(w, total))
+		from = make([]runCursor, c.Size())
 	}
-	var sum float64
-	if a.comm.Rank() == 0 {
-		for _, v := range full {
+	for lo := 0; lo < total; lo += w {
+		hi := min(lo+w, total)
+		buf := getBuf(min(w*es, pl.packBytes))
+		o := 0
+		mine.take(pl.packGlobal, hi, func(i, k, m int) {
+			r := pl.packRuns[i]
+			encodeRun(local, buf[o:], r.off+k*pl.packStride, m, pl.packStride)
+			o += m * es
+		})
+		parts, err := c.Gather(0, buf[:o])
+		putBuf(buf)
+		if err == nil && hi < total {
+			// Sends do not wait for the receiver: without this fence a
+			// task would queue every window at task 0 at once.
+			err = c.Barrier()
+		}
+		if err != nil {
+			return 0, fmt.Errorf("array %q: checksum: %w", a.name, err)
+		}
+		if parts == nil {
+			continue // not task 0
+		}
+		win := win[:hi-lo]
+		clear(win)
+		boxed := any(win)
+		for q, part := range parts {
+			o := 0
+			from[q].take(pl.scatter[q], hi, func(i, k, m int) {
+				decodeRun(boxed, part[o:], pl.scatter[q][i].off+k-lo, m, 1)
+				o += m * es
+			})
+		}
+		for _, v := range win {
 			sum += float64(v)
 		}
 	}
-	return a.comm.AllreduceF64(sum, msg.Sum)
+	return c.AllreduceF64(sum, msg.Sum)
+}
+
+// runCursor walks a run list (global offsets, increasing) one window at
+// a time, remembering the run it is in (i) and how many of that run's
+// elements earlier windows took (k).
+type runCursor struct{ i, k int }
+
+// take advances the cursor to global offset hi, calling f(i, k, m) for
+// each piece passed: m elements of run i, starting k elements into it.
+func (rc *runCursor) take(runs []xferRun, hi int, f func(i, k, m int)) {
+	for rc.i < len(runs) {
+		r := runs[rc.i]
+		start := r.off + rc.k
+		if start >= hi {
+			return
+		}
+		m := min(r.n-rc.k, hi-start)
+		f(rc.i, rc.k, m)
+		if rc.k += m; rc.k == r.n {
+			rc.i, rc.k = rc.i+1, 0
+		}
+	}
 }

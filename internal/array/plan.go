@@ -69,6 +69,7 @@ type assignPlan struct {
 // per-sender scatter runs into the dense global output.
 type gatherPlan struct {
 	packRuns   []xferRun
+	packGlobal []xferRun // packRuns as offsets into the global space
 	packStride int
 	packBytes  int
 	scatter    [][]xferRun // root only; offsets into the global space, stride 1
@@ -213,32 +214,44 @@ func gatherPlanFor(d *dist.Distribution, c *msg.Comm, root int, order rangeset.O
 
 func buildGatherPlan(d *dist.Distribution, rank, size, root int, order rangeset.Order, es int) *gatherPlan {
 	mine := d.Assigned(rank)
+	g := d.Global()
 	pl := &gatherPlan{
 		packRuns:   sectionRuns(mine, d.Mapped(rank), order),
+		packGlobal: globalRuns(mine, g, order),
 		packStride: runStride(d.Mapped(rank), order),
 		packBytes:  mine.Size() * es,
 	}
 	if rank != root {
 		return pl
 	}
-	g := d.Global()
 	pl.scatter = make([][]xferRun, size)
 	for q := 0; q < size; q++ {
-		sec := d.Assigned(q)
-		if sec.Empty() {
+		if q == rank {
+			pl.scatter[q] = pl.packGlobal
 			continue
 		}
-		runs := make([]xferRun, 0, 8)
-		sec.Runs(order, func(c []int, n int) {
-			off, ok := g.Offset(c, order)
-			if !ok {
-				panic("array: assigned element outside global space")
-			}
-			runs = append(runs, xferRun{off, n})
-		})
-		pl.scatter[q] = runs
+		pl.scatter[q] = globalRuns(d.Assigned(q), g, order)
 	}
 	return pl
+}
+
+// globalRuns decomposes sec into its maximal stride-1 runs under order,
+// each resolved to the offset of its first element in the linearization
+// of the global space g under the same order. The runs come out in
+// increasing offset order.
+func globalRuns(sec, g rangeset.Slice, order rangeset.Order) []xferRun {
+	if sec.Empty() {
+		return nil
+	}
+	runs := make([]xferRun, 0, 8)
+	sec.Runs(order, func(c []int, n int) {
+		off, ok := g.Offset(c, order)
+		if !ok {
+			panic("array: assigned element outside global space")
+		}
+		runs = append(runs, xferRun{off, n})
+	})
+	return runs
 }
 
 // packRuns bulk-encodes the planned runs of boxed local storage into buf

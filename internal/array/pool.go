@@ -22,8 +22,13 @@ func getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// putBuf recycles a buffer obtained from getBuf (or anywhere else — the
-// transport's receive buffers are recycled too once unpacked).
+// putBuf recycles a buffer obtained from getBuf. Buffers received from
+// the transport are not recycled: it allocates every one, so pooling
+// them would grow the pool by an operation's receive volume each time,
+// and a sync.Pool keeps everything put since the last collection
+// reachable — live heap at every GC, more of it the faster operations
+// repeat. Returning only what getBuf handed out keeps the pool at the
+// working set.
 func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return

@@ -836,15 +836,18 @@ func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []P
 }
 
 // allResident reports whether every stored piece of this array has a
-// CRC-valid replica in the tier — the precondition for the coarse
-// owner-aligned read plan that restores without touching the pfs or the
-// redistribution exchange.
+// replica in the tier — the precondition for the coarse owner-aligned
+// read plan that restores without touching the pfs or the
+// redistribution exchange. It probes presence only: fetch verifies each
+// replica's bytes once as it serves them, and a replica that fails that
+// check falls back to the pfs (or fails a memory-only piece) exactly as
+// a missing one does.
 func (f *pieceFetcher) allResident() bool {
 	if f.tier == nil {
 		return false
 	}
 	for _, l := range f.locs {
-		if !f.tier.Check(f.prefixOf(l), f.arr, l.Index, l.CRC) {
+		if !f.tier.resident(f.prefixOf(l), f.arr, l.Index, l.CRC) {
 			return false
 		}
 	}

@@ -57,6 +57,29 @@ func gf2MatrixSquare(sq, m *[64]uint64) {
 	}
 }
 
+// zeroOps[k] is the GF(2) operator advancing a CRC past 2^k zero bytes
+// (the matrix form of zlib's x2nmodp table), built once: crcCombine then
+// costs one matrix-vector product per set bit of the length. 63 entries
+// cover every positive int64 length.
+var zeroOps = func() (ops [63][64]uint64) {
+	// The operator for one zero bit: shift with polynomial feedback
+	// (reflected form). Three squarings make it one zero byte.
+	var bit, two, four [64]uint64
+	bit[0] = 0xC96C5795D7870F42 // CRC-64/ECMA polynomial, reflected
+	row := uint64(1)
+	for n := 1; n < 64; n++ {
+		bit[n] = row
+		row <<= 1
+	}
+	gf2MatrixSquare(&two, &bit)
+	gf2MatrixSquare(&four, &two)
+	gf2MatrixSquare(&ops[0], &four)
+	for k := 1; k < len(ops); k++ {
+		gf2MatrixSquare(&ops[k], &ops[k-1])
+	}
+	return ops
+}()
+
 // crcCombine returns the CRC of the concatenation of two byte sequences
 // given their individual CRCs and the length of the second (the zlib
 // crc32_combine algorithm, ported to the reflected CRC-64/ECMA used by
@@ -65,37 +88,9 @@ func crcCombine(crc1, crc2 uint64, len2 int64) uint64 {
 	if len2 <= 0 {
 		return crc1
 	}
-	var even, odd [64]uint64
-
-	// odd = the operator for one zero bit: shift with polynomial feedback
-	// (reflected form).
-	odd[0] = 0xC96C5795D7870F42 // CRC-64/ECMA polynomial, reflected
-	row := uint64(1)
-	for n := 1; n < 64; n++ {
-		odd[n] = row
-		row <<= 1
-	}
-	// even = operator for two zero bits; odd = for four.
-	gf2MatrixSquare(&even, &odd)
-	gf2MatrixSquare(&odd, &even)
-
-	// Apply len2 zero *bytes*: square-and-multiply over the bit count.
-	for {
-		gf2MatrixSquare(&even, &odd)
+	for k := 0; len2 != 0; k, len2 = k+1, len2>>1 {
 		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even)
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
+			crc1 = gf2MatrixTimes(&zeroOps[k], crc1)
 		}
 	}
 	return crc1 ^ crc2

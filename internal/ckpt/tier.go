@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ const (
 type MemTier struct {
 	mu     sync.Mutex
 	stores map[int]*memStore
+	ids    []int // holder ids of stores, ascending (the probe order)
 	bytes  int64 // resident payload bytes summed over all stores
 }
 
@@ -98,6 +100,8 @@ func (t *MemTier) Publish(holders []int, prefix, arr string, index int, data []b
 		if st == nil {
 			st = &memStore{entries: make(map[memKey]memEntry)}
 			t.stores[h] = st
+			i, _ := slices.BinarySearch(t.ids, h)
+			t.ids = slices.Insert(t.ids, i, h)
 		}
 		if old, ok := st.entries[k]; ok {
 			added -= int64(len(old.data))
@@ -122,18 +126,8 @@ func (t *MemTier) Publish(holders []int, prefix, arr string, index int, data []b
 // miss just means a pfs read; callers tick the lost-pieces counter
 // themselves when a miss means data loss.
 func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte, bool) {
-	if t == nil {
-		return nil, false
-	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, h := range t.holderIDs() {
-		if e, ok := t.stores[h].entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
-			return e.data, true
-		}
-	}
-	return nil, false
+	data, _, ok := t.serve(-1, memKey{prefix: prefix, arr: arr, index: index}, &wantCRC)
+	return data, ok
 }
 
 // LookupPrefer is Lookup with locality attribution: the store of holder
@@ -143,26 +137,7 @@ func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte,
 // and an unchanged layout, nearly everything is local and a hot restore
 // costs no modeled wire time at all.
 func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC uint64) (data []byte, local, ok bool) {
-	if t == nil {
-		return nil, false, false
-	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.stores[self]; st != nil {
-		if e, ok := st.entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
-			return e.data, true, true
-		}
-	}
-	for _, h := range t.holderIDs() {
-		if h == self {
-			continue
-		}
-		if e, ok := t.stores[h].entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
-			return e.data, false, true
-		}
-	}
-	return nil, false, false
+	return t.serve(self, memKey{prefix: prefix, arr: arr, index: index}, &wantCRC)
 }
 
 // LookupSelf returns a self-consistent replica — bytes matching the CRC
@@ -172,23 +147,49 @@ func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC 
 // padded file's CRC, not the payload's, so the caller validates by
 // reconstructing the file CRC from the returned payload.
 func (t *MemTier) LookupSelf(self int, prefix, arr string, index int) (data []byte, local, ok bool) {
+	return t.serve(self, memKey{prefix: prefix, arr: arr, index: index}, nil)
+}
+
+// replica is one holder's copy of a payload, picked under the lock and
+// CRC-checked after it is released.
+type replica struct {
+	holder int
+	e      memEntry
+}
+
+// serve returns the first replica of k whose bytes match its published
+// CRC, probing holder self's store first and then the others in
+// ascending holder order (Lookup passes -1: node ids are non-negative,
+// so nothing is preferred). A non-nil want admits only replicas
+// published with that CRC. Candidates are picked under t.mu but
+// CRC-checked after unlocking — published bytes are immutable — so
+// concurrent fetches by many ranks never serialise on the checksum
+// work. This is where tier bytes are verified: every byte a caller gets
+// has just been checked.
+func (t *MemTier) serve(self int, k memKey, want *uint64) (data []byte, local, ok bool) {
 	if t == nil {
 		return nil, false, false
 	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.stores[self]; st != nil {
-		if e, ok := st.entries[k]; ok && crcOf(e.data) == e.crc {
-			return e.data, true, true
+	var buf [8]replica
+	cands := buf[:0]
+	add := func(h int) {
+		if e, ok := t.stores[h].entries[k]; ok && (want == nil || e.crc == *want) {
+			cands = append(cands, replica{h, e})
 		}
 	}
-	for _, h := range t.holderIDs() {
-		if h == self {
-			continue
+	t.mu.Lock()
+	if _, ok := t.stores[self]; ok {
+		add(self)
+	}
+	for _, h := range t.ids {
+		if h != self {
+			add(h)
 		}
-		if e, ok := t.stores[h].entries[k]; ok && crcOf(e.data) == e.crc {
-			return e.data, false, true
+	}
+	t.mu.Unlock()
+	for _, c := range cands {
+		if crcOf(c.e.data) == c.e.crc {
+			return c.e.data, c.holder == self, true
 		}
 	}
 	return nil, false, false
@@ -196,9 +197,30 @@ func (t *MemTier) LookupSelf(self int, prefix, arr string, index int) (data []by
 
 // Check reports whether at least one CRC-valid replica survives,
 // without ticking the miss counter — the verify path probes
-// speculatively.
+// speculatively. It stops at the first replica that checks out.
 func (t *MemTier) Check(prefix, arr string, index int, wantCRC uint64) bool {
-	return t.Replicas(prefix, arr, index, wantCRC) > 0
+	_, ok := t.Lookup(prefix, arr, index, wantCRC)
+	return ok
+}
+
+// resident reports whether some store holds the payload as published
+// with wantCRC — a presence probe that reads no payload bytes. It only
+// chooses a read plan: the bytes themselves are verified when a
+// LookupPrefer serves them, and a replica that fails there falls back
+// exactly as an absent one would.
+func (t *MemTier) resident(prefix, arr string, index int, wantCRC uint64) bool {
+	if t == nil {
+		return false
+	}
+	k := memKey{prefix: prefix, arr: arr, index: index}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, st := range t.stores {
+		if e, ok := st.entries[k]; ok && e.crc == wantCRC {
+			return true
+		}
+	}
+	return false
 }
 
 // Replicas counts the surviving CRC-valid replicas of one payload.
@@ -232,6 +254,7 @@ func (t *MemTier) DropStore(holder int) {
 			freed += int64(len(e.data))
 		}
 		delete(t.stores, holder)
+		t.ids = slices.DeleteFunc(t.ids, func(h int) bool { return h == holder })
 		t.bytes -= freed
 	}
 	t.mu.Unlock()
@@ -316,17 +339,6 @@ func (t *MemTier) Entries(prefix string) []TierEntry {
 		return out[i].Index < out[j].Index
 	})
 	return out
-}
-
-// holderIDs returns the live holder ids in ascending order. Caller
-// holds t.mu.
-func (t *MemTier) holderIDs() []int {
-	ids := make([]int, 0, len(t.stores))
-	for h := range t.stores {
-		ids = append(ids, h)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // tierFileRecord is the gob snapshot row for SaveFile/LoadTierFile.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"drms/internal/array"
@@ -451,4 +452,39 @@ func TestDemotedGenerationIsCompleteOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	restoreChainTier(t, fs, nil, "job.g2", 2, 4, []int{2, 2})
+}
+
+// TestMemTierConcurrentServe: lookups CRC replicas outside the tier lock
+// while other goroutines publish and drop stores; run under -race.
+func TestMemTierConcurrentServe(t *testing.T) {
+	tier := NewMemTier()
+	data := []byte("replicated payload bytes")
+	crc := crcOf(data)
+	for i := 0; i < 8; i++ {
+		tier.Publish([]int{i % 4, (i + 1) % 4}, "ck.g0", "u", i, data, crc)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if b, _, ok := tier.LookupPrefer(g, "ck.g0", "u", i%8, crc); ok && string(b) != string(data) {
+					t.Errorf("served %q, want %q", b, data)
+					return
+				}
+				tier.Check("ck.g0", "u", i%8, crc)
+				tier.resident("ck.g0", "u", i%8, crc)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			tier.Publish([]int{4 + i%3}, "ck.g1", "u", i%8, data, crc)
+			tier.DropStore(4 + (i+1)%3)
+		}
+	}()
+	wg.Wait()
 }

@@ -190,16 +190,40 @@ func TestAutoscalerElastic(t *testing.T) {
 	})
 
 	// Contention: a queued job makes the policy give a processor back.
+	// The queued job is short, so polling for it while it runs can miss
+	// it; the event stream records the order instead: the scaled app
+	// shrinks to one task, then the queued job starts, then it finishes.
+	events, cancel := rc.Subscribe()
+	defer cancel()
 	outB := make(chan float64, 1)
 	pb := appParams{n: 16, iters: 6, ckEvery: 2, result: outB}
 	if err := jsa.Submit(Job{Spec: pb.spec("queued"), Min: 1, Max: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "shrink under queue pressure and dispatch", func() bool {
-		infoA, okA := rc.App("scaled")
-		infoB, okB := rc.App("queued")
-		return okA && infoA.Tasks == 1 && okB && infoB.Status == StatusRunning
-	})
+	steps := []struct {
+		what string
+		ok   func(Event) bool
+	}{
+		{"scaled shrinks to 1 task", func(e Event) bool {
+			return e.Kind == EventAppResized && e.App == "scaled" && e.Tasks == 1
+		}},
+		{"queued starts", func(e Event) bool { return e.Kind == EventAppStarted && e.App == "queued" }},
+		{"queued finishes", func(e Event) bool { return e.Kind == EventAppFinished && e.App == "queued" }},
+	}
+	deadline := time.After(10 * time.Second)
+	for _, step := range steps {
+		for done := false; !done; {
+			select {
+			case e := <-events:
+				if e.App == "queued" && e.Kind != EventAppStarted && e.Kind != EventAppFinished {
+					t.Fatalf("queued app: unexpected %s event (%s) while waiting for: %s", e.Kind, e.Detail, step.what)
+				}
+				done = step.ok(e)
+			case <-deadline:
+				t.Fatalf("timeout waiting for: %s", step.what)
+			}
+		}
+	}
 	if status, err := rc.WaitApp("queued"); err != nil || status != StatusFinished {
 		t.Fatalf("queued app ended %s err=%v", status, err)
 	}

@@ -214,7 +214,8 @@ func Block(global rangeset.Slice, grid []int) (*Distribution, error) {
 }
 
 // cutRuns splits a range into k contiguous runs of near-equal size, the
-// first (size mod k) runs one element longer.
+// first (size mod k) runs one element longer. Each run is a sub-range of
+// r, so a regular axis is cut without listing its elements.
 func cutRuns(r rangeset.Range, k int) []rangeset.Range {
 	n := r.Size()
 	out := make([]rangeset.Range, k)
@@ -225,15 +226,7 @@ func cutRuns(r rangeset.Range, k int) []rangeset.Range {
 		if i < rem {
 			sz++
 		}
-		if sz == 0 {
-			out[i] = rangeset.Range{}
-			continue
-		}
-		elems := make([]int, sz)
-		for j := 0; j < sz; j++ {
-			elems[j] = r.At(pos + j)
-		}
-		out[i] = rangeset.List(elems...)
+		out[i] = r.Sub(pos, pos+sz)
 		pos += sz
 	}
 	return out
@@ -267,11 +260,7 @@ func GenBlock(global rangeset.Slice, sizes [][]int) (*Distribution, error) {
 		p *= len(axSizes)
 		pos := 0
 		for _, n := range axSizes {
-			elems := make([]int, n)
-			for j := 0; j < n; j++ {
-				elems[j] = ax.At(pos + j)
-			}
-			runs[i] = append(runs[i], rangeset.List(elems...))
+			runs[i] = append(runs[i], ax.Sub(pos, pos+n))
 			pos += n
 		}
 	}
@@ -320,16 +309,13 @@ func BlockCyclic(global rangeset.Slice, grid, blockSizes []int) (*Distribution, 
 		}
 		p *= g
 	}
-	// Per-axis dealt index sets: deal[i][k] = indices of axis i owned by
+	// Per-axis dealt sections: deal[i][k] = the part of axis i owned by
 	// grid row k.
-	deal := make([][][]int, len(grid))
+	deal := make([][]rangeset.Range, len(grid))
 	for i := range grid {
-		deal[i] = make([][]int, grid[i])
-		ax := global.Axis(i)
-		for pos := 0; pos < ax.Size(); pos++ {
-			blk := pos / blockSizes[i]
-			row := blk % grid[i]
-			deal[i][row] = append(deal[i][row], ax.At(pos))
+		deal[i] = make([]rangeset.Range, grid[i])
+		for k := range deal[i] {
+			deal[i][k] = dealt(global.Axis(i), k, grid[i], blockSizes[i])
 		}
 	}
 	d := &Distribution{
@@ -345,7 +331,7 @@ func BlockCyclic(global rangeset.Slice, grid, blockSizes []int) (*Distribution, 
 	for t := 0; t < p; t++ {
 		rs := make([]rangeset.Range, len(grid))
 		for i := range grid {
-			rs[i] = rangeset.List(deal[i][coord[i]]...)
+			rs[i] = deal[i][coord[i]]
 		}
 		s := rangeset.NewSlice(rs...)
 		d.assigned[t] = s
@@ -362,6 +348,32 @@ func BlockCyclic(global rangeset.Slice, grid, blockSizes []int) (*Distribution, 
 		return nil, err
 	}
 	return d, nil
+}
+
+// dealt returns the elements of axis ax that row k of a g-row
+// block-cyclic deal owns: every g-th block of b consecutive positions,
+// starting at block k. A row holding a single block (or the whole axis)
+// is a sub-range of ax, and a row of single positions on a regular axis
+// is a regular range; only a genuinely irregular deal lists its
+// elements.
+func dealt(ax rangeset.Range, k, g, b int) rangeset.Range {
+	n := ax.Size()
+	switch {
+	case g == 1:
+		return ax
+	case (k+g)*b >= n:
+		return ax.Sub(k*b, min(k*b+b, n))
+	case b == 1 && ax.IsRegular():
+		_, _, step := ax.Bounds()
+		return rangeset.Reg(ax.At(k), ax.Max(), g*step)
+	}
+	var elems []int
+	for lo := k * b; lo < n; lo += g * b {
+		for pos := lo; pos < min(lo+b, n); pos++ {
+			elems = append(elems, ax.At(pos))
+		}
+	}
+	return rangeset.List(elems...)
 }
 
 // Irregular builds a distribution from explicit per-task assigned and

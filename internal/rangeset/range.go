@@ -13,6 +13,7 @@ package rangeset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,7 +24,14 @@ import (
 // Internally a range is either regular (lo:hi:step with hi adjusted to the
 // last actual element) or an explicit sorted index list. The distinction
 // is an implementation detail: all operations behave identically for both
-// forms, and regular form is preserved where possible for compactness.
+// forms.
+//
+// Canonical form: every constructor (Reg, and fromSorted behind List,
+// Intersect, Shift and Sub) stores an arithmetic progression in regular
+// form, so an irregular range always holds at least three elements that
+// are not evenly spaced. Equal relies on this to compare two regular
+// ranges in O(1) and to tell a regular range from an irregular one
+// without looking at their elements.
 type Range struct {
 	regular bool
 	lo, hi  int // inclusive; hi is the last element (already aligned to step)
@@ -155,17 +163,24 @@ func (r Range) Elements() []int {
 	return out
 }
 
-// Equal reports whether r and q contain exactly the same elements.
+// Equal reports whether r and q contain exactly the same elements. By
+// the canonical-form invariant (see Range) it never walks a regular
+// range: two regular ranges are equal iff they agree on size, first
+// element and — past one element — step, and a regular range never
+// equals an irregular one.
 func (r Range) Equal(q Range) bool {
-	if r.Size() != q.Size() {
+	n := r.Size()
+	switch {
+	case n != q.Size():
+		return false
+	case n == 0:
+		return true
+	case r.regular && q.regular:
+		return r.lo == q.lo && (n == 1 || r.step == q.step)
+	case r.regular || q.regular:
 		return false
 	}
-	for i, n := 0, r.Size(); i < n; i++ {
-		if r.At(i) != q.At(i) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(r.idx, q.idx)
 }
 
 // Intersect returns r * q, the range of all elements common to both.
@@ -252,11 +267,13 @@ func (r Range) Halves() (lo, hi Range) {
 		return r, Range{}
 	}
 	k := (n + 1) / 2
-	return r.slicePortion(0, k), r.slicePortion(k, n)
+	return r.Sub(0, k), r.Sub(k, n)
 }
 
-// slicePortion returns the sub-range holding elements [i, j) of r.
-func (r Range) slicePortion(i, j int) Range {
+// Sub returns the sub-range holding the elements at positions [i, j) of
+// r (empty when i >= j). A sub-range of a regular range is built in
+// O(1), without listing its elements.
+func (r Range) Sub(i, j int) Range {
 	if i >= j {
 		return Range{}
 	}

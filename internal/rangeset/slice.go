@@ -202,7 +202,8 @@ func (s Slice) Coord(off int, order Order) []int {
 // Each invokes f for every coordinate of the section in linearization
 // order. The coordinate slice is reused across calls; f must copy it if
 // it retains it. Each is the reference (slow) enumerator used by tests
-// and by irregular-section fallback paths.
+// and by irregular-section fallback paths, and the loop element-wise
+// fills run on.
 func (s Slice) Each(order Order, f func(c []int)) {
 	if s.Empty() {
 		return
@@ -218,26 +219,38 @@ func (s Slice) Each(order Order, f func(c []int)) {
 		// Advance the fastest-varying axis, carrying as needed.
 		if order == ColMajor {
 			for i := 0; i < len(s.r); i++ {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
+				if s.advance(i, c, pos) {
 					break
 				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
 			}
 		} else {
 			for i := len(s.r) - 1; i >= 0; i-- {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
+				if s.advance(i, c, pos) {
 					break
 				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
 			}
 		}
 	}
+}
+
+// advance steps axis i of the enumeration cursor (c, pos) to its next
+// element and reports true, or rewinds the axis to its first element and
+// reports false when it wraps (the caller then carries into the next
+// axis). A regular axis steps by addition, never through At.
+func (s Slice) advance(i int, c, pos []int) bool {
+	r := &s.r[i]
+	pos[i]++
+	if pos[i] < r.Size() {
+		if r.regular {
+			c[i] += r.step
+		} else {
+			c[i] = r.idx[pos[i]]
+		}
+		return true
+	}
+	pos[i] = 0
+	c[i] = r.At(0)
+	return false
 }
 
 // Runs decomposes the linearization of s under the given order into
@@ -285,23 +298,15 @@ func (s Slice) Runs(order Order, f func(c []int, n int)) {
 		// axis is fully consumed by the run decomposition).
 		if order == ColMajor {
 			for i := 1; i < d; i++ {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
+				if s.advance(i, c, pos) {
 					break
 				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
 			}
 		} else {
 			for i := d - 2; i >= 0; i-- {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
+				if s.advance(i, c, pos) {
 					break
 				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
 			}
 		}
 	}
